@@ -167,7 +167,7 @@ func bootDebugHandler() http.Handler {
 func main() {
 	addr := flag.String("addr", ":8070", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	cache := flag.Int("cache", 0, "entries per cache layer (0 = default, <0 disables)")
+	cache := flag.Int("cache", 0, "entries per cache layer, report and fingerprint (0 = default, <0 disables)")
 	shardsFlag := flag.String("shards", "", "generation-shards per corpus / scatter-gather width (empty or 0 = GOMAXPROCS); with -role router: comma-separated shard base URLs")
 	role := flag.String("role", "single", "node role: single (everything in-process), shard (owns one -partition), router (fans /v1/match over -shards URLs), replica (shard that bootstraps from -bootstrap-from and keeps tailing its WAL)")
 	partition := flag.String("partition", "", "this node's hash partition as i/N (with -role shard|replica)")

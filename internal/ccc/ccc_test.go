@@ -1,6 +1,7 @@
 package ccc
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/query"
@@ -72,6 +73,37 @@ func TestReentrancyMutexMitigated(t *testing.T) {
 		}
 	}`
 	check(t, src, Reentrancy, false)
+}
+
+// TestReentrancyMutexVerdictDeterministic: this generated snippet (dataset
+// seed 1, scale 0.1, ese-924-s2) is the reentrancy-dao template flattened
+// into statements. Its branch reads three inferred fields: grants, written
+// by the deposit before the branch, and amount and recipient, never
+// written. The mutex check must weigh all of them, not whichever one a map
+// iteration yielded last, and a deposit ahead of the branch is not a lock:
+// every analysis reports Reentrancy.
+func TestReentrancyMutexVerdictDeterministic(t *testing.T) {
+	src := "\t\temit Trace13437(65);\n\t\tslot89711 = 6968;\ngrants[recipient] += msg.value;\n" +
+		"if (grants[msg.sender] >= amount) {\n\t\t\tmsg.sender.call{value: amount}(\"\");\n" +
+		"\t\t\tgrants[msg.sender] -= amount;\n\t\t}\nrequire(grants[msg.sender] >= amount);"
+	var first []Category
+	for i := 0; i < 50; i++ {
+		rep, err := AnalyzeSource(src)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		got := rep.Categories()
+		if i == 0 {
+			if !slices.Contains(got, Reentrancy) {
+				t.Fatalf("categories %v, want Reentrancy among them\nfindings: %v", got, rep.Findings)
+			}
+			first = got
+			continue
+		}
+		if !slices.Equal(got, first) {
+			t.Fatalf("call %d reported %v, call 0 reported %v", i, got, first)
+		}
+	}
 }
 
 func TestReentrancySnippetOnly(t *testing.T) {

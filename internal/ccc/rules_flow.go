@@ -137,8 +137,10 @@ func (c *Ctx) fieldWrittenOutsideConstructor(fd *cpg.Node) bool {
 }
 
 // reentrancyLocked detects the mutex mitigation: before the call there is a
-// rollback-guarded branch reading a field that is also written before the
-// call (lock acquisition).
+// rollback-guarded branch reading a field that is then written between the
+// branch and the call (lock acquisition). Every field the branch reads is a
+// lock candidate, so the verdict does not depend on map iteration order; a
+// write that precedes the branch (a deposit) is not a lock.
 func (c *Ctx) reentrancyLocked(fn, call *cpg.Node) bool {
 	before := map[*cpg.Node]bool{}
 	for n := range c.eogReach(fn) {
@@ -150,20 +152,16 @@ func (c *Ctx) reentrancyLocked(fn, call *cpg.Node) bool {
 		if !isBranch(n) {
 			continue
 		}
-		// Branch condition reads a bool-ish field...
-		var lockField *cpg.Node
+		// Branch condition reads a field that is written after the branch
+		// and before the call (lock set).
 		for src := range c.q.ReachRev(n, cpg.DFG) {
-			if src.Is(cpg.LFieldDeclaration) {
-				lockField = src
+			if !src.Is(cpg.LFieldDeclaration) {
+				continue
 			}
-		}
-		if lockField == nil {
-			continue
-		}
-		// ...that is also written before the call (lock set).
-		for _, w := range lockField.In(cpg.DFG) {
-			if before[w] {
-				return true
+			for _, w := range src.In(cpg.DFG) {
+				if before[w] && c.q.PathExists(n, w, cpg.EOG, cpg.INVOKES, cpg.RETURNS) {
+					return true
+				}
 			}
 		}
 	}

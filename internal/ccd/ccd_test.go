@@ -204,6 +204,23 @@ func TestSimilarityAtLeastMatchesExact(t *testing.T) {
 	}
 }
 
+// TestSimilarityAtLeastExactTie: the pair scores exactly its own mean as a
+// threshold. The early exit's upper bound sums in another order than the
+// final mean, and rounding used to put it one ulp below the threshold.
+func TestSimilarityAtLeastExactTie(t *testing.T) {
+	q := Fingerprint("1NMeGYGOCePYPZ0enYnZBehYWLseY.QINMeMNWLs1hMe6eY.TDNhMIehYheY.TDNMIeXNWLsMeY.TDNMebYbOUeY")
+	c := Fingerprint("1NMefYfZKeKYWeEYsehYWLseY.QINMeMNWLs1hMe6eY.TDNhMIehYheY.TDNMIeXNWLsMeY.TDNMebYbOUeY")
+	exact := Similarity(q, c)
+	if exact != 91.72413793103449 {
+		t.Fatalf("Similarity = %v, want 91.72413793103449", exact)
+	}
+	for _, p := range [][2]Fingerprint{{q, c}, {c, q}} {
+		if got, ok := SimilarityAtLeast(p[0], p[1], exact); !ok || got != exact {
+			t.Errorf("SimilarityAtLeast(%s, %s, %v) = (%v, %v), want (%v, true)", p[0], p[1], exact, got, ok, exact)
+		}
+	}
+}
+
 func TestFingerprintSeparators(t *testing.T) {
 	src := `contract A { function f() public {} function g() public {} }
 contract B { function h() public {} }`

@@ -174,17 +174,20 @@ func similarityAtLeast(subs1 []string, f1 Fingerprint, subs2 []string, f2 Finger
 		return 0, threshold <= 0
 	}
 	n := float64(len(subs1))
+	// The early exits test against a slightly lowered threshold: they sum
+	// the scores in another order than the final mean, so float rounding
+	// could otherwise cut a candidate scoring exactly the threshold
+	// (thresholds are often prior means). Over-admitted borderline
+	// candidates are settled by the exact verdict at the end.
+	floor := threshold - 1e-9
 	total := 0.0
 	for i, s1 := range subs1 {
 		remaining := float64(len(subs1) - i - 1)
 		// Lower bound on what this sub must contribute for the threshold to
 		// stay reachable, assuming every remaining sub scores a perfect 100.
 		// It feeds the bounded edit distance, so hopeless sub comparisons
-		// stop after a few rows instead of filling the whole matrix. The
-		// small slack keeps float rounding from ever rejecting a candidate
-		// scoring exactly the threshold (thresholds are often prior means);
-		// over-admitted borderline subs are settled exactly below.
-		minNeeded := threshold*n - total - remaining*100 - 1e-9*n
+		// stop after a few rows instead of filling the whole matrix.
+		minNeeded := floor*n - total - remaining*100
 		best := 0.0
 		for _, s2 := range subs2 {
 			d, ok := ed.SimilarityAtLeast(s1, s2, max(best, minNeeded))
@@ -199,11 +202,8 @@ func similarityAtLeast(subs1 []string, f1 Fingerprint, subs2 []string, f2 Finger
 			}
 		}
 		total += best
-		// Even perfect remaining matches cannot reach the threshold. The
-		// upper bound is compared as a mean — the same division the final
-		// verdict uses — so a candidate scoring exactly the threshold is
-		// never lost to float rounding.
-		if (total+remaining*100)/n < threshold {
+		// Even perfect remaining matches cannot reach the threshold.
+		if (total+remaining*100)/n < floor {
 			return total / n, false
 		}
 	}

@@ -180,6 +180,52 @@ func TestPropertySimilarityBounds(t *testing.T) {
 	}
 }
 
+// TestPropertySimilarityAtLeastAdmitsOwnScore: on random pairs built from
+// shared, edited and unrelated sub-fingerprints, a threshold equal to the
+// pair's exact similarity admits it with exactly that score, in either
+// argument order — ties at the admission bound are never lost to rounding.
+func TestPropertySimilarityAtLeastAdmitsOwnScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const alphabet = "MNYeTDhIWLs"
+	randSub := func() []byte {
+		b := make([]byte, MinSubLen+rng.Intn(24))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return b
+	}
+	for trial := 0; trial < 20000; trial++ {
+		var as, bs []string
+		for i := 1 + rng.Intn(8); i > 0; i-- {
+			s := randSub()
+			as = append(as, string(s))
+			switch rng.Intn(3) {
+			case 0:
+				bs = append(bs, string(s))
+			case 1:
+				for e := 1 + rng.Intn(len(s)/2); e > 0; e-- {
+					s[rng.Intn(len(s))] = alphabet[rng.Intn(len(alphabet))]
+				}
+				bs = append(bs, string(s[:len(s)-rng.Intn(len(s)-MinSubLen+1)]))
+			default:
+				bs = append(bs, string(randSub()))
+			}
+		}
+		for i := rng.Intn(3); i > 0; i-- {
+			bs = append(bs, string(randSub()))
+		}
+		a := Fingerprint(strings.Join(as, string(FuncSep)))
+		b := Fingerprint(strings.Join(bs, string(FuncSep)))
+		exact := Similarity(a, b)
+		for _, p := range [][2]Fingerprint{{a, b}, {b, a}} {
+			if got, ok := SimilarityAtLeast(p[0], p[1], exact); !ok || got != exact {
+				t.Fatalf("trial %d: SimilarityAtLeast(%s, %s, %v) = (%v, %v), want (%v, true)",
+					trial, p[0], p[1], exact, got, ok, exact)
+			}
+		}
+	}
+}
+
 // TestPropertyCorpusMatchSupersetOfHigherEpsilon: lowering ε never removes
 // matches.
 func TestPropertyCorpusMatchMonotoneInEpsilon(t *testing.T) {

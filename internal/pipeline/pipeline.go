@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/ccc"
 	"repro/internal/ccd"
+	"repro/internal/cpg"
 	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/service"
@@ -156,7 +157,7 @@ func Run(cfg Config) *Result {
 
 // RunWith executes the study over externally supplied corpora. The hot
 // steps — CCC detection, clone mapping and two-phase validation — fan out
-// through the service engine's worker pool, and every parse, report and
+// through the service engine's worker pool, and every report and
 // fingerprint goes through its content-addressed caches.
 func RunWith(cfg Config, qa dataset.QACorpus, contracts []dataset.DeployedContract) *Result {
 	eng := cfg.Engine
@@ -424,7 +425,7 @@ func runValidation(cfg Config, eng *service.Engine, res *Result) {
 	}
 	validated := make([]valResult, len(pairs))
 	eng.Map(len(pairs), func(i int) {
-		rep, completed := validateContract(cfg, eng, pairs[i].contract.Source, pairs[i].snippet.Categories)
+		rep, completed := validateContract(cfg, pairs[i].contract.Source, pairs[i].snippet.Categories)
 		validated[i] = valResult{rep: rep, completed: completed}
 	})
 	for i, p := range pairs {
@@ -456,12 +457,12 @@ func runValidation(cfg Config, eng *service.Engine, res *Result) {
 
 // validateContract runs CCC restricted to the snippet's categories with the
 // phase-1 budget, then retries with reduced path depths (phase 2). The
-// second result reports whether any phase completed. The contract is parsed
-// once through the engine's content-addressed cache and the graph is shared
-// by every phase (it is immutable during analysis), instead of re-parsing
-// per attempt as the serial pipeline did.
-func validateContract(cfg Config, eng *service.Engine, src string, cats []ccc.Category) (ccc.Report, bool) {
-	g, err := eng.Graph(src)
+// second result reports whether any phase completed. Validation pairs are
+// deduplicated by contract (dedupeKey), so each contract is parsed once
+// here and its graph, immutable during analysis, is shared by every phase
+// and dropped on return.
+func validateContract(cfg Config, src string, cats []ccc.Category) (ccc.Report, bool) {
+	g, err := cpg.Parse(src)
 	if err != nil {
 		return ccc.Report{}, false
 	}

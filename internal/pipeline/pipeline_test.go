@@ -2,11 +2,13 @@ package pipeline
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/ccd"
 	"repro/internal/dataset"
+	"repro/internal/service"
 )
 
 // runSmall executes a small but statistically meaningful study once and
@@ -352,5 +354,30 @@ func TestTimeRangeAndDuplicates(t *testing.T) {
 	}
 	if res.SnippetDuplicates() < 0 {
 		t.Error("negative duplicates")
+	}
+}
+
+// TestStudyLiveHeap: once a study returns, the live heap holds its result
+// and the engine's report and fingerprint caches, not a code property graph
+// per analysed snippet and contract. The engine stays reachable through
+// res.Config, as it does for a serving node that ran a /v1/study job.
+func TestStudyLiveHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a scale-0.02 study; run without -short")
+	}
+	const limit = 48 << 20
+	cfg := DefaultConfig()
+	cfg.Scale = 0.02
+	cfg.Engine = service.New(service.Options{CCD: cfg.CCD})
+	qa := dataset.GenerateQA(dataset.QAConfig{Seed: cfg.Seed, Scale: cfg.Scale})
+	contracts := dataset.GenerateSanctuary(dataset.SanctuaryConfig{Seed: cfg.Seed + 1, Scale: cfg.Scale}, qa)
+	res := RunWith(cfg, qa, contracts)
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(res)
+	t.Logf("live heap after the study: %.1f MiB", float64(ms.HeapAlloc)/(1<<20))
+	if ms.HeapAlloc >= limit {
+		t.Errorf("live heap after the study is %.1f MiB, want under %d MiB", float64(ms.HeapAlloc)/(1<<20), limit>>20)
 	}
 }

@@ -871,7 +871,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Snapshot:  snap,
 		Endpoints: s.endpointMetrics(),
 		HitRates: map[string]float64{
-			"parse":       snap.ParseCache.HitRate(),
 			"report":      snap.ReportCache.HitRate(),
 			"fingerprint": snap.FingerprintCache.HitRate(),
 		},

@@ -262,7 +262,6 @@ func (s *Server) writePrometheus(w io.Writer, snap service.Snapshot, uptimeSec f
 		name  string
 		stats service.CacheStats
 	}{
-		{"parse", snap.ParseCache},
 		{"report", snap.ReportCache},
 		{"fingerprint", snap.FingerprintCache},
 	}

@@ -1,7 +1,7 @@
 // Package service is the concurrent analysis layer in front of the
 // reproduction's primitives: a bounded worker pool, content-addressed LRU
-// caches for parse results, CCC vulnerability reports and CCD fingerprints,
-// and a generational corpus whose readers are lock-free (matching loads one
+// caches for CCC vulnerability reports and CCD fingerprints, and a
+// generational corpus whose readers are lock-free (matching loads one
 // immutable snapshot pointer; ingest publishes new generations off the read
 // path). The study pipeline fans its hot steps out through the same Engine
 // that cmd/serve exposes over HTTP, so batch reproduction and online serving
@@ -21,7 +21,6 @@ import (
 	"repro/internal/ccc"
 	"repro/internal/ccd"
 	"repro/internal/cluster"
-	"repro/internal/cpg"
 	"repro/internal/index"
 	"repro/internal/trace"
 )
@@ -34,7 +33,7 @@ const DefaultCacheEntries = 4096
 type Options struct {
 	// Workers bounds concurrent work; ≤ 0 selects GOMAXPROCS.
 	Workers int
-	// CacheEntries caps each cache layer (parse, report, fingerprint).
+	// CacheEntries caps each cache layer (report, fingerprint).
 	// 0 selects DefaultCacheEntries; < 0 disables caching (benchmarks use
 	// this to measure the uncached path).
 	CacheEntries int
@@ -80,7 +79,7 @@ var (
 )
 
 // Engine wraps CCC and CCD behind a worker pool and content-addressed
-// caches. The cached primitives (Graph, Analyze, Fingerprint, Match, ...)
+// caches. The cached primitives (Analyze, Fingerprint, Match, ...)
 // are safe for concurrent use and do not themselves occupy worker slots;
 // bounding happens at the task level through Do, Map and the *Batch
 // helpers, so primitives may be freely composed inside pooled tasks without
@@ -92,7 +91,6 @@ type Engine struct {
 	ctr     counters
 	deg     *degrade
 
-	graphs  *lru[graphEntry]
 	reports *lru[reportEntry]
 	prints  *lru[fpEntry]
 
@@ -109,11 +107,6 @@ type Engine struct {
 
 // Cached values retain the original computation's error so a hit replays
 // exactly what a miss produced (parse errors are deterministic per content).
-type graphEntry struct {
-	g   *cpg.Graph
-	err error
-}
-
 type reportEntry struct {
 	rep ccc.Report
 	err error
@@ -133,7 +126,6 @@ func New(opts Options) *Engine {
 	e := &Engine{
 		workers: workers,
 		sem:     make(chan struct{}, workers),
-		graphs:  newLRU[graphEntry](opts.CacheEntries),
 		reports: newLRU[reportEntry](opts.CacheEntries),
 		prints:  newLRU[fpEntry](opts.CacheEntries),
 		corpus:  NewCorpus(opts.CCD, opts.Shards),
@@ -305,37 +297,16 @@ func (e *Engine) MapCtx(ctx context.Context, n int, fn func(int)) error {
 
 // --- cached primitives --------------------------------------------------------
 
-// Graph parses src into a code property graph through the parse cache. The
-// graph is immutable after construction and may be analyzed concurrently.
-func (e *Engine) Graph(src string) (*cpg.Graph, error) {
-	return e.graph(ContentKey(src), src)
-}
-
-func (e *Engine) graph(key Key, src string) (*cpg.Graph, error) {
-	if ent, ok := e.graphs.Get(key); ok {
-		return ent.g, ent.err
-	}
-	g, err := cpg.Parse(src)
-	e.graphs.Put(key, graphEntry{g: g, err: err})
-	return g, err
-}
-
-// Analyze runs the default CCC analyzer over src through the report cache
-// (the parse itself goes through the parse cache).
+// Analyze runs the default CCC analyzer over src through the report cache.
 func (e *Engine) Analyze(src string) (ccc.Report, error) {
 	e.ctr.analyses.Add(1)
 	key := ContentKey(src)
 	if ent, ok := e.reports.Get(key); ok {
 		return ent.rep, ent.err
 	}
-	g, err := e.graph(key, src)
-	if err != nil {
-		e.reports.Put(key, reportEntry{err: err})
-		return ccc.Report{}, err
-	}
-	rep := ccc.Analyze(g)
-	e.reports.Put(key, reportEntry{rep: rep})
-	return rep, nil
+	rep, err := ccc.AnalyzeSource(src)
+	e.reports.Put(key, reportEntry{rep: rep, err: err})
+	return rep, err
 }
 
 // Fingerprint computes the CCD fuzzy-hash of src through the fingerprint

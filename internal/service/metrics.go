@@ -234,7 +234,6 @@ type Snapshot struct {
 	Clusters *cluster.Summary `json:"clusters,omitempty"`
 
 	// Per-layer cache statistics.
-	ParseCache       CacheStats `json:"parse_cache"`
 	ReportCache      CacheStats `json:"report_cache"`
 	FingerprintCache CacheStats `json:"fingerprint_cache"`
 }
@@ -339,7 +338,6 @@ func (e *Engine) Metrics() Snapshot {
 			Unions:        e.ctr.studyUnions.Load(),
 			Errors:        e.ctr.studyErrors.Load(),
 		},
-		ParseCache:       e.graphs.Stats(),
 		ReportCache:      e.reports.Stats(),
 		FingerprintCache: e.prints.Stats(),
 	}

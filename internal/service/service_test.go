@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -263,16 +264,23 @@ func TestCorpusShardPartitioning(t *testing.T) {
 
 // TestCorpusReadersNeverBlockOnWriters: a reader loaded generation stays
 // fully usable while writers publish new ones, and reads observe
-// monotonically growing corpora (no torn or shrinking states).
+// monotonically growing corpora (no torn or shrinking states). The writer
+// does a fixed amount of work: every read scans every identical document,
+// so an unbounded writer makes the test's run time grow with host speed.
 func TestCorpusReadersNeverBlockOnWriters(t *testing.T) {
+	const adds, reads = 1000, 2000
 	c := NewCorpus(ccd.DefaultConfig, 0)
 	fp := ccd.Fingerprint("QxRtYuIoPAbCdEfGh.ZxCvBnMQwErTy")
 	done := make(chan struct{})
+	firstRead := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // writer: continuous single adds (worst-case publish churn)
+	go func() { // writer: single adds (worst-case publish churn)
 		defer wg.Done()
-		for i := 0; ; i++ {
+		for i := 0; i < adds; i++ {
+			if i == 1 {
+				<-firstRead // the reads start before the writes run out
+			}
 			select {
 			case <-done:
 				return
@@ -281,20 +289,28 @@ func TestCorpusReadersNeverBlockOnWriters(t *testing.T) {
 			}
 		}
 	}()
-	prev := 0
-	for i := 0; i < 2000; i++ {
+	prev, first := 0, 0
+	for i := 0; i < reads; i++ {
 		ms, _ := c.MatchTopK(fp, 5)
+		n := c.Len()
+		if i == 0 {
+			first = n
+			close(firstRead)
+		}
 		if len(ms) > 5 {
 			t.Fatalf("top-5 returned %d matches", len(ms))
 		}
-		if n := c.Len(); n < prev {
+		if n < prev {
 			t.Fatalf("corpus shrank: %d after %d", n, prev)
-		} else {
-			prev = n
 		}
+		prev = n
+		runtime.Gosched() // with one P, let the writer in between reads
 	}
 	close(done)
 	wg.Wait()
+	if prev == first {
+		t.Fatalf("every read saw %d documents: no write landed between reads", first)
+	}
 }
 
 func TestMapCoversAllIndicesOnce(t *testing.T) {

@@ -206,16 +206,18 @@ func OpenStoreWith(dir string, c *Corpus, opts StoreOptions) (*Store, error) {
 	// indexed twice. Only the LAST record per id replays: the corpus's
 	// duplicate-id supersede means applying an earlier record after the
 	// snapshot restore would roll the id back to a stale fingerprint (the
-	// snapshot already holds the final one).
-	var covered map[string]int
-	if s.restored > 0 {
-		covered = c.entryMultiset()
-	}
+	// snapshot already holds the final one). The multiset of restored
+	// entries is built only when there are records to check against it:
+	// it keys every restored entry, a whole-corpus pass on each boot.
 	walPath := filepath.Join(dir, WALFile)
 	var recs []ccd.Entry
 	_, goodOffset, torn, err := replayWAL(walPath, func(id string, fp ccd.Fingerprint) {
 		recs = append(recs, ccd.Entry{ID: id, FP: fp})
 	})
+	var covered map[string]int
+	if s.restored > 0 && len(recs) > 0 {
+		covered = c.entryMultiset()
+	}
 	lastFor := make(map[string]int, len(recs))
 	for i, r := range recs {
 		lastFor[r.ID] = i
