@@ -527,7 +527,7 @@ func persistFixture(b *testing.B) ([]service.CorpusEntry, []byte) {
 }
 
 // BenchmarkCorpusPersistence10k compares the two ways a 10k-document serving
-// corpus can come back after a restart: decoding the binary snapshot versus
+// corpus can come back after a restart: opening the binary snapshot versus
 // re-fingerprinting every source through the engine (both parallel). The
 // restore/refingerprint ns/op ratio is the headline durability win — the
 // acceptance floor is 10×.
@@ -575,8 +575,9 @@ func BenchmarkCorpusPersistence10k(b *testing.B) {
 	})
 }
 
-// BenchmarkCCDSnapshotRoundTrip measures the single-shard ccd encode/decode
-// hot path underneath the sharded snapshot.
+// BenchmarkCCDSnapshotRoundTrip measures the single-shard ccd segment open
+// (CRC check, entry table copy, posting validation) underneath the sharded
+// snapshot restore.
 func BenchmarkCCDSnapshotRoundTrip(b *testing.B) {
 	entries, _ := persistFixture(b)
 	c := ccd.NewCorpus(ccd.DefaultConfig)
@@ -592,7 +593,7 @@ func BenchmarkCCDSnapshotRoundTrip(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := ccd.Load(bytes.NewReader(buf.Bytes()))
+		got, err := ccd.OpenSegmentBytes(buf.Bytes(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

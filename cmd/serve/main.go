@@ -30,10 +30,11 @@
 // ccd corpus is durable — the extra backends re-index live traffic.
 //
 // With -corpus-dir the serving corpus survives restarts: on boot the binary
-// snapshot (corpus.snap) is restored and the write-ahead log (corpus.wal)
-// replayed on top; every acknowledged corpus add is journaled before it is
-// visible, so a crash loses nothing that was acknowledged. Snapshots are
-// taken every -snapshot-interval (when there is new data), on demand via
+// snapshot (corpus.snap) is memory-mapped and its segments open in place,
+// and the write-ahead log (corpus.wal) is replayed on top; every
+// acknowledged corpus add is journaled before it is visible, so a crash
+// loses nothing that was acknowledged. Snapshots are taken every
+// -snapshot-interval (when there is new data), on demand via
 // POST /v1/corpus/snapshot, and once more on graceful shutdown.
 //
 // Endpoints:
@@ -197,7 +198,6 @@ func main() {
 	degradeTier1 := flag.Float64("degrade-tier1", 0, "pressure threshold entering tier 1 (halved effective match limit; 0 = default 0.75)")
 	degradeTier2 := flag.Float64("degrade-tier2", 0, "pressure threshold entering tier 2 (raised pre-filter η; 0 = default 0.90)")
 	degradeTier3 := flag.Float64("degrade-tier3", 0, "pressure threshold entering tier 3 (stale cluster views; 0 = default 1.0)")
-	mmapSegments := flag.Bool("mmap", true, "memory-map snapshot segments on restore and after snapshots (zero-copy boot; false = decode to heap)")
 	postingBlock := flag.Int("posting-block", ngram.DefaultBlockSize(), "posting-list block size in doc ids (compression/skip granularity, 1-65536)")
 	flag.Parse()
 
@@ -341,8 +341,7 @@ func main() {
 			}
 		}
 		var err error
-		store, err = service.OpenStoreWith(*corpusDir, engine.Corpus(),
-			service.StoreOptions{NoMapSegments: !*mmapSegments})
+		store, err = service.OpenStore(*corpusDir, engine.Corpus())
 		if err != nil {
 			die(err)
 		}

@@ -13,38 +13,31 @@ import (
 	"repro/internal/ngram"
 )
 
-// Binary corpus snapshot:
+// Binary corpus snapshot (version 2, the only format):
 //
 //	magic   "CCDSNAP\x00"
 //	uvarint version
 //	uvarint N, float64 Eta, float64 Epsilon   (the matcher Config)
 //	uvarint entry count
 //	per entry: string id, string fingerprint  (uvarint-length-prefixed)
-//	byte    index flag: 0 = rebuild on load, 1 = embedded ngram codec follows
-//	[flag 1: uvarint index byte length, index bytes (ngram codec format)]
+//	byte    index flag (always 1: embedded ngram codec follows)
+//	uvarint index byte length, index bytes (docless NGIX v2 codec)
 //	uint32  CRC-32 (IEEE, little-endian) of every preceding byte
 //
-// Version 2 (current) is the segment format: the flag byte is always 1 and
-// the embedded index is the docless block-compressed ngram codec (NGIX v2) —
-// the same bytes the runtime queries. OpenSegmentBytes opens such a snapshot
-// zero-copy over a memory-mapped file: posting lists are read in place, so
-// restore skips the index rebuild entirely.
-//
-// Version 1 (legacy, still loadable) embedded the encoded index only when it
-// was smaller than the fingerprint payload (the index is derivable: replaying
-// Add in entry order reproduces doc numbering exactly) and rebuilt it
-// otherwise.
+// The snapshot is the segment format: the embedded index is the
+// block-compressed n-gram codec — the same bytes the runtime queries.
+// OpenSegmentBytes opens a snapshot zero-copy over its bytes (typically a
+// memory-mapped file): posting lists are read in place, so restore skips the
+// index rebuild entirely.
 const (
 	snapshotMagic = "CCDSNAP\x00"
-	// SnapshotVersion is the current corpus snapshot format version.
+	// SnapshotVersion is the corpus snapshot format version.
 	SnapshotVersion = 2
-	// snapshotVersionLegacy is the version-1 format (uncompressed embedded
-	// index, rebuild-on-load allowed).
-	snapshotVersionLegacy = 1
 )
 
 // maxSnapshotString bounds any single length-prefixed string in a snapshot,
-// protecting Load from allocating garbage lengths out of corrupt input.
+// protecting OpenSegmentBytes from allocating garbage lengths out of corrupt
+// input.
 const maxSnapshotString = 1 << 26 // 64 MiB
 
 // maxIndexSection bounds the embedded index section: posting data for
@@ -136,186 +129,15 @@ func (c *Corpus) Save(w io.Writer) error {
 	return cw.w.Flush()
 }
 
-// crcReader tees reads into a running CRC-32. It implements io.ByteReader so
-// varints can be decoded without over-reading.
-type crcReader struct {
-	r   *bufio.Reader
-	crc hash.Hash32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc.Write(p[:n])
-	return n, err
-}
-
-func (cr *crcReader) ReadByte() (byte, error) {
-	b, err := cr.r.ReadByte()
-	if err == nil {
-		cr.crc.Write([]byte{b})
-	}
-	return b, err
-}
-
-func (cr *crcReader) readUvarint(what string) (uint64, error) {
-	v, err := binary.ReadUvarint(cr)
-	if err != nil {
-		return 0, fmt.Errorf("ccd: snapshot: read %s: %w", what, corruptEOF(err))
-	}
-	return v, nil
-}
-
-func (cr *crcReader) readString(what string) (string, error) {
-	n, err := cr.readUvarint(what + " length")
-	if err != nil {
-		return "", err
-	}
-	if n > maxSnapshotString {
-		return "", fmt.Errorf("ccd: snapshot: %s length %d exceeds limit", what, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(cr, buf); err != nil {
-		return "", fmt.Errorf("ccd: snapshot: read %s: %w", what, corruptEOF(err))
-	}
-	return string(buf), nil
-}
-
-func (cr *crcReader) readFloat(what string) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(cr, buf[:]); err != nil {
-		return 0, fmt.Errorf("ccd: snapshot: read %s: %w", what, corruptEOF(err))
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-// corruptEOF maps a clean EOF inside a structure to ErrUnexpectedEOF: any
-// end-of-input after the magic means a truncated snapshot.
-func corruptEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// Load reads a snapshot written by Save and returns the reconstructed
-// corpus. The whole payload is CRC-checked; truncated or corrupted input
-// yields an error, never a silently partial corpus.
-func Load(r io.Reader) (*Corpus, error) {
-	cr := &crcReader{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("ccd: snapshot: read magic: %w", corruptEOF(err))
-	}
-	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("ccd: snapshot: bad magic %q", magic)
-	}
-	version, err := cr.readUvarint("version")
-	if err != nil {
-		return nil, err
-	}
-	if version != snapshotVersionLegacy && version != SnapshotVersion {
-		return nil, fmt.Errorf("ccd: snapshot: unsupported version %d (want <= %d)", version, SnapshotVersion)
-	}
-	n, err := cr.readUvarint("config N")
-	if err != nil {
-		return nil, err
-	}
-	eta, err := cr.readFloat("config Eta")
-	if err != nil {
-		return nil, err
-	}
-	eps, err := cr.readFloat("config Epsilon")
-	if err != nil {
-		return nil, err
-	}
-	cfg := Config{N: int(n), Eta: eta, Epsilon: eps}
-	count, err := cr.readUvarint("entry count")
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]Entry, 0, min(count, 1<<20))
-	for i := uint64(0); i < count; i++ {
-		id, err := cr.readString("entry id")
-		if err != nil {
-			return nil, err
-		}
-		fp, err := cr.readString("entry fingerprint")
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, Entry{ID: id, FP: Fingerprint(fp)})
-	}
-	flag, err := cr.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("ccd: snapshot: read index flag: %w", corruptEOF(err))
-	}
-	if version == SnapshotVersion && flag != 1 {
-		return nil, fmt.Errorf("ccd: snapshot: version %d requires an embedded index, flag %d", version, flag)
-	}
-	var index *ngram.Index
-	switch flag {
-	case 0:
-		// Rebuilt below, after the CRC check.
-	case 1:
-		size, err := cr.readUvarint("index length")
-		if err != nil {
-			return nil, err
-		}
-		limit := uint64(maxSnapshotString)
-		if version == SnapshotVersion {
-			limit = maxIndexSection
-		}
-		if size > limit {
-			return nil, fmt.Errorf("ccd: snapshot: index length %d exceeds limit", size)
-		}
-		section := io.LimitReader(cr, int64(size))
-		index, err = ngram.Load(section)
-		if err != nil {
-			return nil, fmt.Errorf("ccd: snapshot: embedded index: %w", err)
-		}
-		// Keep stream (and CRC) alignment even if the codec left padding.
-		if _, err := io.Copy(io.Discard, section); err != nil {
-			return nil, fmt.Errorf("ccd: snapshot: embedded index: %w", err)
-		}
-		if index.N() != cfg.N {
-			return nil, fmt.Errorf("ccd: snapshot: embedded index N=%d does not match config N=%d", index.N(), cfg.N)
-		}
-		if index.Len() != len(entries) {
-			return nil, fmt.Errorf("ccd: snapshot: embedded index has %d docs, corpus has %d entries", index.Len(), len(entries))
-		}
-	default:
-		return nil, fmt.Errorf("ccd: snapshot: unknown index flag %d", flag)
-	}
-	sum := cr.crc.Sum32()
-	var trailer [4]byte
-	if _, err := io.ReadFull(cr.r, trailer[:]); err != nil {
-		return nil, fmt.Errorf("ccd: snapshot: read checksum: %w", corruptEOF(err))
-	}
-	if got := binary.LittleEndian.Uint32(trailer[:]); got != sum {
-		return nil, fmt.Errorf("ccd: snapshot: checksum mismatch (stored %08x, computed %08x)", got, sum)
-	}
-
-	c := NewCorpus(cfg)
-	if index != nil {
-		c.index = index
-		c.entries = entries
-		return c, nil
-	}
-	for _, e := range entries {
-		c.Add(e.ID, e.FP)
-	}
-	return c, nil
-}
-
-// OpenSegmentBytes opens a version-2 snapshot as an immutable segment
+// OpenSegmentBytes opens a snapshot written by Save as an immutable segment
 // directly over data — typically a memory-mapped segment file. Entry ids and
 // fingerprints are copied to the heap (they flow into responses and outlive
 // remaps), but the embedded index's posting lists are read zero-copy in
 // place, so opening a million-document segment costs a validation pass, not
-// a rebuild. ref is retained for the corpus's lifetime to pin data's owner
-// (the mapping holder); the caller must not mutate data afterwards. The
-// returned corpus is sealed: Add panics. Version-1 input falls back to a
-// heap decode and retains no reference to data.
+// a rebuild. The whole payload is CRC-checked first: truncated or corrupted
+// input yields an error, never a silently partial corpus. ref is retained for
+// the corpus's lifetime to pin data's owner (the mapping holder); the caller
+// must not mutate data afterwards. The returned corpus is sealed: Add panics.
 func OpenSegmentBytes(data []byte, ref any) (*Corpus, error) {
 	if len(data) < len(snapshotMagic)+1+4 {
 		return nil, fmt.Errorf("ccd: segment: %d bytes is too short for a snapshot", len(data))
@@ -327,12 +149,8 @@ func OpenSegmentBytes(data []byte, ref any) (*Corpus, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("ccd: segment: bad version")
 	}
-	if version == snapshotVersionLegacy {
-		// Legacy snapshots predate the zero-copy layout; heap-decode them.
-		return Load(bytes.NewReader(data))
-	}
 	if version != SnapshotVersion {
-		return nil, fmt.Errorf("ccd: segment: unsupported version %d (want <= %d)", version, SnapshotVersion)
+		return nil, fmt.Errorf("ccd: segment: unsupported version %d (want %d)", version, SnapshotVersion)
 	}
 	// The CRC trailer covers the whole body; checking it up front also
 	// bounds every length field below by construction — a bit flip anywhere
@@ -360,7 +178,7 @@ func OpenSegmentBytes(data []byte, ref any) (*Corpus, error) {
 		entries = append(entries, Entry{ID: id, FP: Fingerprint(fp)})
 	}
 	if flag := r.byteVal("index flag"); r.err == nil && flag != 1 {
-		return nil, fmt.Errorf("ccd: segment: version %d requires an embedded index, flag %d", version, flag)
+		return nil, fmt.Errorf("ccd: segment: unknown index flag %d", flag)
 	}
 	size := r.uvarint("index length")
 	if r.err == nil && size > maxIndexSection {

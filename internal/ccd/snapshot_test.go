@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -43,19 +42,15 @@ func randomCorpus(rng *rand.Rand, cfg Config, n int) *Corpus {
 
 func saveLoad(t *testing.T, c *Corpus) *Corpus {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	got, err := Load(&buf)
+	got, err := OpenSegmentBytes(segmentBytes(t, c), nil)
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("open: %v", err)
 	}
 	return got
 }
 
 // TestSnapshotRoundTripProperty: for random corpora and random query
-// fingerprints, a loaded snapshot must produce byte-identical Match results.
+// fingerprints, an opened snapshot must produce byte-identical Match results.
 func TestSnapshotRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	configs := []Config{DefaultConfig, ConservativeConfig, {N: 5, Eta: 0.3, Epsilon: 50}}
@@ -105,25 +100,17 @@ func TestSnapshotEmptyCorpus(t *testing.T) {
 	}
 }
 
-// TestSnapshotEmbeddedIndex forces the embedded-index path: ids so long that
-// the encoded index is smaller than the fingerprint payload would suggest is
-// impossible to hit naturally, so instead exercise the path via corpora whose
-// fingerprints are huge and repetitive (few distinct grams, tiny index).
+// TestSnapshotEmbeddedIndex: corpora whose fingerprints are huge and
+// repetitive (one distinct gram, a tiny embedded index next to a large entry
+// payload) open and match every document.
 func TestSnapshotEmbeddedIndex(t *testing.T) {
 	c := NewCorpus(DefaultConfig)
-	// One distinct gram ("aaa") across giant fingerprints: the index encodes
-	// in a handful of bytes while fpBytes is large, so Save embeds it.
+	// One distinct gram ("aaa") across giant fingerprints: every posting
+	// list the index holds is that gram's.
 	for i := 0; i < 4; i++ {
 		c.Add(string(rune('a'+i)), Fingerprint(strings.Repeat("a", 4096)))
 	}
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := saveLoad(t, c)
 	ms := got.Match(Fingerprint(strings.Repeat("a", 4096)))
 	if len(ms) != 4 {
 		t.Fatalf("got %d matches, want 4", len(ms))
@@ -139,7 +126,7 @@ func TestSnapshotTruncated(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{0, 1, 4, len(full) / 2, len(full) - 5, len(full) - 1} {
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := OpenSegmentBytes(full[:cut:cut], nil); err == nil {
 			t.Errorf("truncation at %d of %d: no error", cut, len(full))
 		}
 	}
@@ -158,7 +145,7 @@ func TestSnapshotCorrupted(t *testing.T) {
 	for _, pos := range []int{len(snapshotMagic) + 20, len(full) / 2, len(full) - 6} {
 		mut := bytes.Clone(full)
 		mut[pos] ^= 0x40
-		if got, err := Load(bytes.NewReader(mut)); err == nil {
+		if got, err := OpenSegmentBytes(mut, nil); err == nil {
 			// Flipping a fingerprint byte changes payload but CRC covers it.
 			t.Errorf("corruption at %d: loaded %d entries without error", pos, got.Len())
 		}
@@ -166,13 +153,13 @@ func TestSnapshotCorrupted(t *testing.T) {
 	// Bad magic is reported as such.
 	mut := bytes.Clone(full)
 	mut[0] = 'X'
-	if _, err := Load(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "magic") {
+	if _, err := OpenSegmentBytes(mut, nil); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("bad magic: err=%v", err)
 	}
 	// Future versions are rejected, not misparsed.
 	mut = bytes.Clone(full)
 	mut[len(snapshotMagic)] = 99
-	if _, err := Load(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := OpenSegmentBytes(mut, nil); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future version: err=%v", err)
 	}
 }
@@ -193,10 +180,11 @@ func fixCRC(b []byte) {
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
 }
 
-// TestSegmentOpenMatchesLoad: the zero-copy segment open and the streaming
-// Load must be observably identical — same entries, same config, same match
-// results — and the segment must be sealed (write-once).
-func TestSegmentOpenMatchesLoad(t *testing.T) {
+// TestSegmentOpenMatchesBuilder: a segment opened zero-copy over a saved
+// corpus must be observably identical to the corpus Add built — same
+// entries, same config, same MatchTopK results across a k sweep — and the
+// segment must be sealed (write-once).
+func TestSegmentOpenMatchesBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
 		orig := randomCorpus(rng, DefaultConfig, 1+rng.Intn(40))
@@ -217,12 +205,17 @@ func TestSegmentOpenMatchesLoad(t *testing.T) {
 				t.Fatalf("trial %d entry %d: %+v != %+v", trial, i, he[i], we[i])
 			}
 		}
+		queries := []Fingerprint{we[0].FP}
 		for q := 0; q < 6; q++ {
-			fp := randomFingerprint(rng)
-			want := orig.MatchTopK(fp, 5)
-			have := seg.MatchTopK(fp, 5)
-			if !matchesEqual(want, have) {
-				t.Fatalf("trial %d query %d: %v != %v", trial, q, have, want)
+			queries = append(queries, randomFingerprint(rng))
+		}
+		for q, fp := range queries {
+			for _, k := range []int{1, 5, 100, 0} {
+				want := orig.MatchTopK(fp, k)
+				have := seg.MatchTopK(fp, k)
+				if !matchesEqual(want, have) {
+					t.Fatalf("trial %d query %d k=%d: %v != %v", trial, q, k, have, want)
+				}
 			}
 		}
 	}
@@ -274,7 +267,8 @@ func TestSegmentOpenBitFlips(t *testing.T) {
 // TestSegmentOpenOverdeclaredCounts: headers that promise more than the file
 // holds (entry count, index section length) must produce clean errors, never
 // a panic or an out-of-bounds read — even with a valid CRC over the mutated
-// bytes.
+// bytes. A header declaring the retired version 1 is refused as a version,
+// not decoded.
 func TestSegmentOpenOverdeclaredCounts(t *testing.T) {
 	c := NewCorpus(DefaultConfig)
 	for i := 0; i < 5; i++ {
@@ -290,6 +284,13 @@ func TestSegmentOpenOverdeclaredCounts(t *testing.T) {
 	if full[off] != 5 {
 		t.Fatalf("fixture drifted: entry count byte at %d is %d, want 5", off, full[off])
 	}
+	v1 := bytes.Clone(full)
+	v1[len(snapshotMagic)] = 1
+	fixCRC(v1)
+	if _, err := OpenSegmentBytes(v1, nil); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 header: err=%v, want unsupported version 1", err)
+	}
+
 	over := bytes.Clone(full)
 	over[off] = 120 // declare 120 entries, file holds 5
 	fixCRC(over)
@@ -319,38 +320,4 @@ func TestSegmentOpenOverdeclaredCounts(t *testing.T) {
 	if _, err := OpenSegmentBytes(over, nil); err == nil {
 		t.Fatal("over-declared index length: no error")
 	}
-}
-
-// TestSegmentOpenLegacyFallback: a hand-built version-1 snapshot (flag 0 —
-// rebuild on load) opens through the heap fallback and stays mutable.
-func TestSegmentOpenLegacyFallback(t *testing.T) {
-	var body []byte
-	body = append(body, snapshotMagic...)
-	body = binary.AppendUvarint(body, 1) // legacy version
-	body = binary.AppendUvarint(body, 3) // N
-	body = binary.LittleEndian.AppendUint64(body, math.Float64bits(0.5))
-	body = binary.LittleEndian.AppendUint64(body, math.Float64bits(70))
-	body = binary.AppendUvarint(body, 1) // one entry
-	body = binary.AppendUvarint(body, uint64(len("doc-a")))
-	body = append(body, "doc-a"...)
-	fp := "QxRtYuIoPAbCdEfGh"
-	body = binary.AppendUvarint(body, uint64(len(fp)))
-	body = append(body, fp...)
-	body = append(body, 0) // flag 0: rebuild index on load
-	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
-
-	seg, err := OpenSegmentBytes(body, nil)
-	if err != nil {
-		t.Fatalf("legacy fallback: %v", err)
-	}
-	if seg.Mapped() {
-		t.Fatal("legacy snapshot came back sealed")
-	}
-	if seg.Len() != 1 {
-		t.Fatalf("len %d, want 1", seg.Len())
-	}
-	if ms := seg.Match(Fingerprint(fp)); len(ms) != 1 || ms[0].ID != "doc-a" {
-		t.Fatalf("legacy corpus does not match itself: %v", ms)
-	}
-	seg.Add("more", Fingerprint("ZxCvBnMAsDfGhJkL")) // must not panic
 }

@@ -115,8 +115,8 @@ func (b *ccdBackend) Merge(other Backend) (Backend, error) {
 func (b *ccdBackend) Snapshot(w io.Writer) error { return b.c.Save(w) }
 
 // OpenSegment replaces the (empty) backend with an immutable segment reading
-// its posting lists zero-copy out of data (SegmentOpener). ref pins data's
-// owner — typically the mmap holder — for the segment's lifetime.
+// its posting lists zero-copy out of data. ref pins data's owner — typically
+// the mmap holder — for the segment's lifetime.
 func (b *ccdBackend) OpenSegment(data []byte, ref any) error {
 	if b.c.Len() != 0 {
 		return fmt.Errorf("index: open segment into non-empty ccd backend (%d entries)", b.c.Len())
@@ -133,16 +133,3 @@ func (b *ccdBackend) OpenSegment(data []byte, ref any) error {
 // MappedSegment reports whether the backend reads its index zero-copy out of
 // caller-owned bytes (MappedReporter).
 func (b *ccdBackend) MappedSegment() bool { return b.c.Mapped() }
-
-func (b *ccdBackend) Restore(r io.Reader) error {
-	if b.c.Len() != 0 {
-		return fmt.Errorf("index: restore into non-empty ccd backend (%d entries)", b.c.Len())
-	}
-	c, err := ccd.Load(r)
-	if err != nil {
-		return err
-	}
-	b.c = c
-	b.cfg.CCD = c.Config()
-	return nil
-}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -21,7 +22,7 @@ import (
 const frameVersion = 1
 
 // maxFrameString bounds any single length-prefixed string, protecting
-// Restore from allocating garbage lengths out of corrupt input.
+// OpenSegment from allocating garbage lengths out of corrupt input.
 const maxFrameString = 1 << 26 // 64 MiB
 
 // maxPrealloc caps count-driven preallocations: counts are untrusted until
@@ -84,7 +85,7 @@ func writeFramed(w io.Writer, magic string, count int, body func(*frameEncoder) 
 }
 
 type frameDecoder struct {
-	r   *bufio.Reader
+	r   *bytes.Reader
 	crc hash.Hash32
 }
 
@@ -140,11 +141,11 @@ func (d *frameDecoder) readFloat() (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
-// readFramed parses a writeFramed stream: it verifies magic and version,
-// hands (decoder, count) to body, and checks the trailing CRC over
-// everything body consumed. body must consume the payload exactly.
-func readFramed(r io.Reader, magic string, body func(d *frameDecoder, count int) error) error {
-	dec := &frameDecoder{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
+// readFramed parses writeFramed bytes: it verifies magic and version, hands
+// (decoder, count) to body, and checks the trailing CRC over everything body
+// consumed. body must consume the payload exactly.
+func readFramed(data []byte, magic string, body func(d *frameDecoder, count int) error) error {
+	dec := &frameDecoder{r: bytes.NewReader(data), crc: crc32.NewIEEE()}
 	got := make([]byte, len(magic))
 	if err := dec.readFull(got); err != nil {
 		return fmt.Errorf("index: snapshot magic: %w", err)

@@ -100,13 +100,13 @@ type Config struct {
 
 // Backend is one similarity-matching implementation over fingerprinted
 // documents. Implementations are NOT internally synchronized: the service
-// layer builds immutable segments (write once via Add/Restore, then only
+// layer builds immutable segments (write once via Add/OpenSegment, then only
 // read), so MatchTopK and Snapshot may run concurrently with each other but
 // never with Add.
 type Backend interface {
 	// Name returns the registry name ("ccd", "ssdeep", "smartembed").
 	Name() string
-	// Config returns the effective configuration (after Restore, the
+	// Config returns the effective configuration (after OpenSegment, the
 	// snapshot's configuration).
 	Config() Config
 	// Epsilon returns the effective admission threshold on the 0-100 score
@@ -125,9 +125,13 @@ type Backend interface {
 	Merge(other Backend) (Backend, error)
 	// Snapshot writes the backend's documents in its binary format.
 	Snapshot(w io.Writer) error
-	// Restore replaces the backend's state (which must be empty) with a
-	// snapshot produced by the same kind of backend.
-	Restore(r io.Reader) error
+	// OpenSegment replaces the backend's state (which must be empty) with
+	// the snapshot in data, produced by Snapshot of the same kind of
+	// backend. The ccd backend reads its index zero-copy out of data, so
+	// data must stay immutable and ref — data's owner, typically a memory
+	// mapping — is retained for the segment's lifetime; backends that decode
+	// to the heap ignore ref.
+	OpenSegment(data []byte, ref any) error
 }
 
 // EntryLister is implemented by backends that can enumerate their indexed
@@ -163,16 +167,6 @@ type SourceOnlyMatcher interface {
 // itself unchanged with 0.
 type EntryRemover interface {
 	WithoutIDs(dead map[string]struct{}) (Backend, int)
-}
-
-// SegmentOpener is implemented by backends whose snapshot format doubles as
-// a runtime segment: OpenSegment replaces the backend's (empty) state with an
-// immutable view reading zero-copy out of data — typically a memory-mapped
-// snapshot file — instead of decoding it to the heap. ref is retained for the
-// segment's lifetime to pin data's owner (the mapping holder). Only the ccd
-// backend implements it today.
-type SegmentOpener interface {
-	OpenSegment(data []byte, ref any) error
 }
 
 // MappedReporter is implemented by backends that can report whether their

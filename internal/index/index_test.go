@@ -91,7 +91,7 @@ func TestBackendsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBackendSnapshotRoundTrip: snapshot → restore preserves the match
+// TestBackendSnapshotRoundTrip: snapshot → OpenSegment preserves the match
 // behavior of every backend, and restoring foreign bytes fails cleanly.
 func TestBackendSnapshotRoundTrip(t *testing.T) {
 	for _, name := range Names() {
@@ -108,7 +108,7 @@ func TestBackendSnapshotRoundTrip(t *testing.T) {
 			}
 
 			restored := mustBackend(t, name, Config{})
-			if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+			if err := restored.OpenSegment(buf.Bytes(), nil); err != nil {
 				t.Fatal(err)
 			}
 			if restored.Len() != b.Len() {
@@ -130,7 +130,7 @@ func TestBackendSnapshotRoundTrip(t *testing.T) {
 			raw := buf.Bytes()
 			for _, cut := range []int{1, len(raw) / 2, len(raw) - 1} {
 				fresh := mustBackend(t, name, Config{})
-				if err := fresh.Restore(bytes.NewReader(raw[:cut])); err == nil {
+				if err := fresh.OpenSegment(raw[:cut:cut], nil); err == nil {
 					t.Fatalf("truncated snapshot at %d accepted", cut)
 				}
 			}
@@ -140,7 +140,7 @@ func TestBackendSnapshotRoundTrip(t *testing.T) {
 					continue
 				}
 				fresh := mustBackend(t, other, Config{})
-				if err := fresh.Restore(bytes.NewReader(raw)); err == nil {
+				if err := fresh.OpenSegment(raw, nil); err == nil {
 					t.Fatalf("%s restored a %s snapshot", other, name)
 				}
 			}

@@ -158,11 +158,13 @@ func (b *smartEmbedBackend) Snapshot(w io.Writer) error {
 	})
 }
 
-func (b *smartEmbedBackend) Restore(r io.Reader) error {
+// OpenSegment decodes a snapshot written by Snapshot into the (empty)
+// backend; the entries are copied to the heap, so ref is not retained.
+func (b *smartEmbedBackend) OpenSegment(data []byte, _ any) error {
 	if len(b.entries) != 0 {
-		return fmt.Errorf("index: restore into non-empty smartembed backend (%d entries)", len(b.entries))
+		return fmt.Errorf("index: open segment into non-empty smartembed backend (%d entries)", len(b.entries))
 	}
-	return readFramed(r, smartEmbedMagic, func(dec *frameDecoder, count int) error {
+	return readFramed(data, smartEmbedMagic, func(dec *frameDecoder, count int) error {
 		entries := make([]embEntry, 0, min(count, maxPrealloc))
 		for i := 0; i < count; i++ {
 			id, err := dec.readString()

@@ -214,11 +214,13 @@ func (b *ssdeepBackend) Snapshot(w io.Writer) error {
 	})
 }
 
-func (b *ssdeepBackend) Restore(r io.Reader) error {
+// OpenSegment decodes a snapshot written by Snapshot into the (empty)
+// backend; the entries are copied to the heap, so ref is not retained.
+func (b *ssdeepBackend) OpenSegment(data []byte, _ any) error {
 	if len(b.entries) != 0 {
-		return fmt.Errorf("index: restore into non-empty ssdeep backend (%d entries)", len(b.entries))
+		return fmt.Errorf("index: open segment into non-empty ssdeep backend (%d entries)", len(b.entries))
 	}
-	return readFramed(r, ssdeepMagic, func(dec *frameDecoder, count int) error {
+	return readFramed(data, ssdeepMagic, func(dec *frameDecoder, count int) error {
 		entries := make([]ssdEntry, 0, min(count, maxPrealloc))
 		for i := 0; i < count; i++ {
 			id, err := dec.readString()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -30,9 +31,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err := ix.Save(&enc); err != nil {
 			t.Fatalf("save: %v", err)
 		}
-		got, err := Load(bytes.NewReader(enc.Bytes()))
+		got, err := FromBytes(enc.Bytes())
 		if err != nil {
-			t.Fatalf("load: %v", err)
+			t.Fatalf("open: %v", err)
 		}
 		if got.N() != ix.N() || got.Len() != ix.Len() {
 			t.Fatalf("n=%d len=%d, want n=%d len=%d", got.N(), got.Len(), ix.N(), ix.Len())
@@ -49,7 +50,7 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestCodecRejectsDuplicatePostings: a zero posting delta after the first
 // entry would put the same document twice in a list, violating the strictly
-// increasing invariant the query merge relies on — Load must refuse it.
+// increasing invariant the query merge relies on — FromBytes must refuse it.
 func TestCodecRejectsDuplicatePostings(t *testing.T) {
 	ix := New(3)
 	ix.Add("a", "abcd")
@@ -59,17 +60,18 @@ func TestCodecRejectsDuplicatePostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := enc.Bytes()
-	// Postings for each gram are docs [0,1], delta-encoded 0x00 0x01 at the
-	// stream tail. Zeroing the final delta makes the list [0,0].
+	// Postings for each gram are docs [0,1]: the skip entry holds the first
+	// id and the delta stream the single delta 0x01 at the stream tail.
+	// Zeroing it makes the list [0,0].
 	corrupt := bytes.Clone(raw)
 	corrupt[len(corrupt)-1] = 0x00
-	if _, err := Load(bytes.NewReader(corrupt)); err == nil {
+	if _, err := FromBytes(corrupt); err == nil {
 		t.Error("duplicate posting accepted")
 	}
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not an index"))); err == nil {
+	if _, err := FromBytes([]byte("not an index")); err == nil {
 		t.Error("garbage accepted")
 	}
 	ix := New(3)
@@ -80,8 +82,14 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 	full := enc.Bytes()
 	for cut := 0; cut < len(full); cut += 3 {
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := FromBytes(full[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+	// The retired version 1 is refused as a version, not decoded.
+	v1 := bytes.Clone(full)
+	v1[len(codecMagic)] = 1
+	if _, err := FromBytes(v1); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("version-1 header: err=%v, want unsupported version 1", err)
 	}
 }

@@ -142,10 +142,9 @@ func referenceQuery(ix *Index, s string, eta float64) []Candidate {
 // an exact optimization — same candidates, same containments, same order as
 // the uncompressed full scan, across random corpora, thresholds, posting
 // block sizes (1 = every id its own block, up to larger-than-any-list), and
-// every representation of the same index: freshly built, Save/Load
-// round-tripped, and opened zero-copy over the encoded bytes (the mmap'd
-// segment form). One reused Scratch serves all queries, so scratch reuse is
-// pinned to be invisible too.
+// both representations of the same index: built by Add, and opened zero-copy
+// over its encoded bytes (the mmap'd segment form). One reused Scratch serves
+// all zero-copy queries, so scratch reuse is pinned to be invisible too.
 func TestQueryMatchesReferenceScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	alphabet := "abcdefgh" // small alphabet forces heavy gram sharing
@@ -169,10 +168,6 @@ func TestQueryMatchesReferenceScan(t *testing.T) {
 		if err := ix.Save(&enc); err != nil {
 			t.Fatalf("trial %d: save: %v", trial, err)
 		}
-		loaded, err := Load(bytes.NewReader(enc.Bytes()))
-		if err != nil {
-			t.Fatalf("trial %d: load: %v", trial, err)
-		}
 		mapped, err := FromBytes(enc.Bytes())
 		if err != nil {
 			t.Fatalf("trial %d: from bytes: %v", trial, err)
@@ -189,13 +184,11 @@ func TestQueryMatchesReferenceScan(t *testing.T) {
 			if st.Kept != len(got) {
 				t.Fatalf("stats kept=%d, returned %d", st.Kept, len(got))
 			}
-			for name, form := range map[string]*Index{"loaded": loaded, "zero-copy": mapped} {
-				have, _ := form.QueryGramsScratch(form.Grams(query), eta, &sc)
-				// The scratch results alias sc; clone before the next query.
-				if !reflect.DeepEqual(append([]Candidate(nil), have...), want) {
-					t.Fatalf("trial %d eta=%.1f query=%q [%s form]:\n got %v\nwant %v",
-						trial, eta, query, name, have, want)
-				}
+			have, _ := mapped.QueryGramsScratch(mapped.Grams(query), eta, &sc)
+			// The scratch results alias sc; clone before the next query.
+			if !reflect.DeepEqual(append([]Candidate(nil), have...), want) {
+				t.Fatalf("trial %d eta=%.1f query=%q [zero-copy form]:\n got %v\nwant %v",
+					trial, eta, query, have, want)
 			}
 		}
 	}

@@ -152,8 +152,8 @@ func (p *postings) decodeBlock(i, blockSize int, dst []uint32) int {
 	return n
 }
 
-// appendAll decodes the whole list into dst (test/reference helper and the
-// v1-codec writer's source of truth).
+// appendAll decodes the whole list into dst (the reference decode tests
+// compare every posting path against).
 func (p *postings) appendAll(dst []uint32, blockSize int) []uint32 {
 	buf := make([]uint32, blockSize)
 	for i := 0; i < p.totalBlocks(); i++ {
@@ -258,24 +258,6 @@ func parsePostings(count uint64, blockSize int, skips, data []byte, docCount int
 		prev = v
 	}
 	return p, nil
-}
-
-// unseal converts a parsed (fully sealed) posting list back to builder form:
-// a partial final block moves into the uncompressed tail so add can continue
-// appending. Lists whose final block is full are already in builder form.
-func (p *postings) unseal(blockSize int) {
-	blocks := p.sealedBlocks()
-	if blocks == 0 || p.count%blockSize == 0 {
-		return
-	}
-	last := blocks - 1
-	n := p.blockLen(last, blockSize)
-	buf := make([]uint32, blockSize)
-	p.decodeBlock(last, blockSize, buf)
-	// Clone before truncating: data/skips may alias caller-owned bytes.
-	p.data = append([]byte(nil), p.data[:p.skipOff(last)]...)
-	p.skips = append([]byte(nil), p.skips[:last*skipEntryBytes]...)
-	p.tail = append(p.tail, buf[:n]...)
 }
 
 // cursor iterates one posting list in doc order, decoding a block at a time

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -639,9 +638,8 @@ func (c *Corpus) ShardStats() []ShardSnapshot {
 
 // --- whole-corpus snapshots ----------------------------------------------------
 
-// Corpus snapshot envelope.
-//
-// Version 2 (shard-aware, backend-tagged):
+// Corpus snapshot envelope (version 2, the only format; shard-aware and
+// backend-tagged):
 //
 //	magic   "SVCSNAP\x00"
 //	uvarint version (2)
@@ -651,19 +649,13 @@ func (c *Corpus) ShardStats() []ShardSnapshot {
 //	per shard: uvarint segment count
 //	           per segment: uvarint byte length, backend snapshot bytes
 //
-// Version 1 (legacy, pre-shard): a flat framed sequence of ccd.Corpus
-// snapshots. Still loads — segments restore into the current shard layout
-// (directly when one shard, re-partitioned by id hash otherwise).
-//
 // Integrity lives in the per-segment backend snapshots (each carries its own
-// CRC-32); the envelope adds only framing. Segments are encoded and decoded
+// CRC-32); the envelope adds only framing. Segments are encoded and opened
 // in parallel.
 const (
 	corpusSnapshotMagic = "SVCSNAP\x00"
-	// CorpusSnapshotVersion is the current snapshot envelope version.
+	// CorpusSnapshotVersion is the snapshot envelope version.
 	CorpusSnapshotVersion = 2
-	// corpusSnapshotLegacy is the pre-shard envelope still accepted on read.
-	corpusSnapshotLegacy = 1
 )
 
 // maxSegmentBytes bounds one encoded segment (defense against corrupt
@@ -761,159 +753,36 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot restores a snapshot written by WriteSnapshot into this
-// corpus, which must be empty and run the snapshot's backend. The snapshot's
-// configuration replaces the corpus's own. When the shard counts match, the
-// decoded segments install directly (byte-identical restore); otherwise the
-// documents re-partition by id hash (or, for backends that cannot enumerate
-// entries, segments spread round-robin). Pre-shard (version 1) snapshots
-// restore the same way, as a one-shard layout.
+// corpus, which must be empty and run the snapshot's backend. It reads r to
+// the end and restores from those bytes exactly as OpenSnapshotFile restores
+// from a mapped file: the segments read their indexes out of the buffer,
+// which stays alive as long as they do.
 func (c *Corpus) ReadSnapshot(r io.Reader) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("service: snapshot: %w", err)
+	}
+	return c.restoreSnapshot(data, nil)
+}
+
+// restoreSnapshot installs the snapshot held in data into this (empty)
+// corpus. The snapshot's configuration replaces the corpus's own. When the
+// shard counts match, the opened segments install directly (byte-identical
+// restore); otherwise the documents re-partition by id hash (or, for
+// backends that cannot enumerate entries, segments spread round-robin). ref
+// owns data (the mapping holder, or nil for heap bytes) and is retained by
+// every segment that reads out of data.
+func (c *Corpus) restoreSnapshot(data []byte, ref any) error {
 	if c.Len() != 0 {
 		return fmt.Errorf("service: restore into non-empty corpus (%d entries)", c.Len())
 	}
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(corpusSnapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("service: snapshot: read magic: %w", err)
-	}
-	if string(magic) != corpusSnapshotMagic {
-		return fmt.Errorf("service: snapshot: bad magic %q", magic)
-	}
-	version, err := binary.ReadUvarint(br)
+	backend, cfg, perShard, err := parseSnapshotEnvelope(data)
 	if err != nil {
-		return fmt.Errorf("service: snapshot: read version: %w", err)
+		return err
 	}
-	switch version {
-	case corpusSnapshotLegacy:
-		return c.readLegacySnapshot(br)
-	case CorpusSnapshotVersion:
-		return c.readShardedSnapshot(br)
+	if backend != c.backend {
+		return fmt.Errorf("service: snapshot holds backend %q, corpus runs %q", backend, c.backend)
 	}
-	return fmt.Errorf("service: snapshot: unsupported version %d (want %d or %d)",
-		version, corpusSnapshotLegacy, CorpusSnapshotVersion)
-}
-
-// readShardedSnapshot parses the version-2 body.
-func (c *Corpus) readShardedSnapshot(br *bufio.Reader) error {
-	readFloat := func() (float64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-	}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil || nameLen > 256 {
-		return fmt.Errorf("service: snapshot: read backend name length: %w", orErr(err, "implausible"))
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return fmt.Errorf("service: snapshot: read backend name: %w", err)
-	}
-	if string(name) != c.backend {
-		return fmt.Errorf("service: snapshot holds backend %q, corpus runs %q", name, c.backend)
-	}
-	var cfg index.Config
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fmt.Errorf("service: snapshot: read config: %w", err)
-	}
-	cfg.CCD.N = int(n)
-	for _, dst := range []*float64{&cfg.CCD.Eta, &cfg.CCD.Epsilon, &cfg.Epsilon} {
-		if *dst, err = readFloat(); err != nil {
-			return fmt.Errorf("service: snapshot: read config: %w", err)
-		}
-	}
-	shardCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fmt.Errorf("service: snapshot: read shard count: %w", err)
-	}
-	if shardCount == 0 || shardCount > maxSnapshotShards {
-		return fmt.Errorf("service: snapshot: implausible shard count %d", shardCount)
-	}
-	perShard := make([][][]byte, shardCount)
-	for i := range perShard {
-		segCount, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("service: snapshot: shard %d segment count: %w", i, err)
-		}
-		if segCount > 1<<16 {
-			return fmt.Errorf("service: snapshot: shard %d implausible segment count %d", i, segCount)
-		}
-		perShard[i] = make([][]byte, segCount)
-		for j := range perShard[i] {
-			size, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("service: snapshot: shard %d segment %d length: %w", i, j, err)
-			}
-			if size > maxSegmentBytes {
-				return fmt.Errorf("service: snapshot: shard %d segment %d length %d exceeds limit", i, j, size)
-			}
-			perShard[i][j] = make([]byte, size)
-			if _, err := io.ReadFull(br, perShard[i][j]); err != nil {
-				return fmt.Errorf("service: snapshot: shard %d segment %d: %w", i, j, err)
-			}
-		}
-	}
-	return c.installSnapshot(cfg, perShard)
-}
-
-// readLegacySnapshot parses the pre-shard (version 1) body: a flat ccd
-// segment list, restored as a one-shard layout.
-func (c *Corpus) readLegacySnapshot(br *bufio.Reader) error {
-	if c.backend != index.BackendCCD {
-		return fmt.Errorf("service: pre-shard snapshot holds backend %q, corpus runs %q", index.BackendCCD, c.backend)
-	}
-	segCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fmt.Errorf("service: snapshot: read segment count: %w", err)
-	}
-	if segCount == 0 || segCount > 1<<16 {
-		return fmt.Errorf("service: snapshot: implausible segment count %d", segCount)
-	}
-	encoded := make([][]byte, segCount)
-	for i := range encoded {
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("service: snapshot: read segment %d length: %w", i, err)
-		}
-		if size > maxSegmentBytes {
-			return fmt.Errorf("service: snapshot: segment %d length %d exceeds limit", i, size)
-		}
-		encoded[i] = make([]byte, size)
-		if _, err := io.ReadFull(br, encoded[i]); err != nil {
-			return fmt.Errorf("service: snapshot: read segment %d: %w", i, err)
-		}
-	}
-	// Decode the first segment eagerly to learn the snapshot's config (the
-	// legacy envelope does not carry one; even an empty placeholder segment
-	// does). installSnapshot re-decodes all segments in parallel.
-	probe, err := ccd.Load(bytes.NewReader(encoded[0]))
-	if err != nil {
-		return fmt.Errorf("service: snapshot: decode segment 0: %w", err)
-	}
-	return c.installSnapshot(index.Config{CCD: probe.Config()}, [][][]byte{encoded})
-}
-
-// segmentOpener materializes one backend segment from its snapshot bytes.
-// heapOpener decodes to the heap; mappedOpener (segment.go) opens zero-copy
-// over a memory mapping when the backend supports it.
-type segmentOpener func(seg index.Backend, data []byte) error
-
-// heapOpener is the default segment opener: a full streaming decode.
-func heapOpener(seg index.Backend, data []byte) error {
-	return seg.Restore(bytes.NewReader(data))
-}
-
-// installSnapshot decodes the framed segments (in parallel) under cfg and
-// installs them: directly when the on-disk and in-memory shard counts match,
-// re-partitioned otherwise.
-func (c *Corpus) installSnapshot(cfg index.Config, perShard [][][]byte) error {
-	return c.installSnapshotWith(cfg, perShard, heapOpener)
-}
-
-// installSnapshotWith is installSnapshot with an explicit segment opener.
-func (c *Corpus) installSnapshotWith(cfg index.Config, perShard [][][]byte, open segmentOpener) error {
 	if cfg.CCD.N == 0 {
 		cfg.CCD = ccd.DefaultConfig
 	}
@@ -921,58 +790,20 @@ func (c *Corpus) installSnapshotWith(cfg index.Config, perShard [][][]byte, open
 		return fmt.Errorf("service: snapshot: %w", err)
 	}
 	// The factory must build segments under the snapshot's config from here
-	// on (Restore below double-checks by overwriting from decoded state).
+	// on (openSegments double-checks every segment against it).
 	c.cfg = cfg
-
-	decoded := make([][]index.Backend, len(perShard))
-	errs := make([][]error, len(perShard))
-	var wg sync.WaitGroup
-	for i := range perShard {
-		decoded[i] = make([]index.Backend, len(perShard[i]))
-		errs[i] = make([]error, len(perShard[i]))
-		for j := range perShard[i] {
-			wg.Add(1)
-			go func(i, j int) {
-				defer wg.Done()
-				seg := c.newSegment()
-				if err := open(seg, perShard[i][j]); err != nil {
-					errs[i][j] = err
-					return
-				}
-				decoded[i][j] = seg
-			}(i, j)
-		}
-	}
-	wg.Wait()
-	for i := range errs {
-		for j, err := range errs[i] {
-			if err != nil {
-				return fmt.Errorf("service: snapshot: decode shard %d segment %d: %w", i, j, err)
-			}
-		}
-	}
-	// Every segment must agree with the envelope's configuration (Restore
-	// adopts the decoded state's config): a forged or mixed-config snapshot
-	// would otherwise match with wrong parameters — the prepared query is
-	// derived once per query under one config and reused for every segment.
-	for i := range decoded {
-		for j, seg := range decoded[i] {
-			if got := seg.Config(); got != cfg {
-				return fmt.Errorf("service: snapshot: shard %d segment %d config %+v differs from snapshot config %+v",
-					i, j, got, cfg)
-			}
-		}
+	decoded, err := c.openSegments(perShard, ref)
+	if err != nil {
+		return fmt.Errorf("service: snapshot: %w", err)
 	}
 
 	install := make([][]index.Backend, len(c.shards))
 	switch {
 	case len(perShard) == len(c.shards):
 		// Fast path: the layout matches — segments install byte-identically.
-		for i := range decoded {
-			install[i] = dropEmpty(decoded[i])
-		}
+		install = decoded
 	default:
-		flat := dropEmpty(slices.Concat(decoded...))
+		flat := slices.Concat(decoded...)
 		if entries, ok := allEntries(flat); ok {
 			// Re-partition documents by id hash, one rebuilt segment per
 			// shard, restoring the write-balance invariant.
@@ -1037,6 +868,54 @@ func (c *Corpus) installSnapshotWith(cfg index.Config, perShard [][][]byte, open
 		sh.pubMu.Unlock()
 	}
 	return nil
+}
+
+// openSegments opens every framed segment of a parsed envelope (in
+// parallel) as a fresh backend segment reading out of the framed bytes, which
+// ref owns. Per shard, empty segments (empty-corpus placeholders) are dropped
+// and the rest ordered largest first, as generations keep them. Every
+// segment must carry the corpus's configuration: a forged or mixed-config
+// snapshot would otherwise match with wrong parameters — the prepared query
+// is derived once per query under one config and reused for every segment.
+func (c *Corpus) openSegments(perShard [][][]byte, ref any) ([][]index.Backend, error) {
+	opened := make([][]index.Backend, len(perShard))
+	errs := make([][]error, len(perShard))
+	var wg sync.WaitGroup
+	for i := range perShard {
+		opened[i] = make([]index.Backend, len(perShard[i]))
+		errs[i] = make([]error, len(perShard[i]))
+		for j := range perShard[i] {
+			wg.Add(1)
+			go func(i, j int) {
+				defer wg.Done()
+				seg := c.newSegment()
+				if err := seg.OpenSegment(perShard[i][j], ref); err != nil {
+					errs[i][j] = err
+					return
+				}
+				opened[i][j] = seg
+			}(i, j)
+		}
+	}
+	wg.Wait()
+	for i := range errs {
+		for j, err := range errs[i] {
+			if err != nil {
+				return nil, fmt.Errorf("decode shard %d segment %d: %w", i, j, err)
+			}
+		}
+	}
+	for i := range opened {
+		for j, seg := range opened[i] {
+			if got := seg.Config(); got != c.cfg {
+				return nil, fmt.Errorf("shard %d segment %d config %+v differs from snapshot config %+v",
+					i, j, got, c.cfg)
+			}
+		}
+		opened[i] = dropEmpty(opened[i])
+		slices.SortStableFunc(opened[i], func(a, b index.Backend) int { return b.Len() - a.Len() })
+	}
+	return opened, nil
 }
 
 // shardIndex computes a document id's home shard (FNV-1a).
@@ -1120,12 +999,4 @@ func allEntries(segs []index.Backend) ([]ccd.Entry, bool) {
 		out = append(out, lister.Entries()...)
 	}
 	return out, true
-}
-
-// orErr returns err when non-nil, else an error built from fallback.
-func orErr(err error, fallback string) error {
-	if err != nil {
-		return err
-	}
-	return errors.New(fallback)
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,11 +13,12 @@ import (
 )
 
 // FuzzSnapshotLoad: ReadSnapshot on arbitrary bytes must return an error or
-// a valid corpus — never panic, never allocate absurdly, never hand back a
-// corpus that cannot round-trip through WriteSnapshot. Seeded with valid
-// version-2 envelopes (matching and mismatching shard counts), a pre-shard
-// legacy (version 1) envelope, a truncated shard directory, and a
-// shard-count header that over-declares its payload.
+// a valid corpus — never panic, never allocate absurdly, never accept an
+// envelope version other than the current one, never hand back a corpus that
+// cannot round-trip through WriteSnapshot. Seeded with valid envelopes
+// (matching and mismatching shard counts), a pre-shard version-1 header that
+// must be refused, a truncated shard directory, and a shard-count header that
+// over-declares its payload.
 func FuzzSnapshotLoad(f *testing.F) {
 	encode := func(shards, docs int) []byte {
 		c := NewCorpus(ccd.DefaultConfig, shards)
@@ -41,7 +43,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(append([]byte{}, small[:14]...)) // cut inside the config block
 	// Over-declared shard count: keep the v2 preamble, bump the count byte.
 	f.Add(bytes.Replace(small, []byte{2, 0}, []byte{63, 0}, 1))
-	// Pre-shard legacy header with garbage body.
+	// Retired pre-shard (version 1) header with garbage body: refused.
 	f.Add([]byte("SVCSNAP\x00\x01\x03garbage"))
 	f.Add([]byte("SVCSNAP\x00\x02"))
 	f.Add([]byte{})
@@ -53,6 +55,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 		c := NewCorpus(ccd.DefaultConfig, 2)
 		if err := c.ReadSnapshot(bytes.NewReader(data)); err != nil {
 			return
+		}
+		if v, _ := binary.Uvarint(data[len(corpusSnapshotMagic):]); v != CorpusSnapshotVersion {
+			t.Fatalf("accepted an envelope of version %d", v)
 		}
 		// Whatever ReadSnapshot accepted must survive a write/read round trip
 		// with an identical entry multiset and configuration.

@@ -1,33 +1,19 @@
 package service
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/index"
 )
 
-// This file is the zero-copy boot path: instead of streaming a snapshot
-// through ReadSnapshot (which decodes every posting list to the heap), the
-// snapshot file is memory-mapped and each backend segment opens directly over
-// its framed byte range. For the ccd backend that makes restore a validation
-// pass — posting lists are queried in place out of the page cache — so a
-// million-document corpus boots in the time it takes to checksum the file,
-// and cold pages are only faulted in when queries touch them.
-
-// mappedOpener opens segments zero-copy over data owned by ref when the
-// backend supports it (index.SegmentOpener), falling back to a heap decode.
-func mappedOpener(ref any) segmentOpener {
-	return func(seg index.Backend, data []byte) error {
-		if so, ok := seg.(index.SegmentOpener); ok {
-			return so.OpenSegment(data, ref)
-		}
-		return seg.Restore(bytes.NewReader(data))
-	}
-}
+// This file is the restore path: the snapshot file is memory-mapped and each
+// backend segment opens directly over its framed byte range. For the ccd
+// backend that makes restore a validation pass — posting lists are queried
+// in place out of the page cache — so a million-document corpus boots in the
+// time it takes to checksum the file, and cold pages are only faulted in
+// when queries touch them. ReadSnapshot runs the same path over heap bytes.
 
 // snapCursor walks a snapshot envelope held fully in memory. take hands out
 // 3-index subslices, so no downstream append can write into a read-only
@@ -71,10 +57,9 @@ func (r *snapCursor) float(what string) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// parseSnapshotEnvelope splits a version-2 snapshot held in data into its
-// backend name, configuration and per-shard framed segment byte ranges. The
-// returned slices alias data. Version-1 envelopes and other formats return
-// an error; the caller decides whether to fall back to the streaming reader.
+// parseSnapshotEnvelope splits a snapshot held in data into its backend
+// name, configuration and per-shard framed segment byte ranges. The returned
+// slices alias data.
 func parseSnapshotEnvelope(data []byte) (backend string, cfg index.Config, perShard [][][]byte, err error) {
 	if len(data) < len(corpusSnapshotMagic)+1 {
 		return "", cfg, nil, fmt.Errorf("service: snapshot: %d bytes is too short", len(data))
@@ -88,7 +73,7 @@ func parseSnapshotEnvelope(data []byte) (backend string, cfg index.Config, perSh
 		return "", cfg, nil, r.err
 	}
 	if version != CorpusSnapshotVersion {
-		return "", cfg, nil, fmt.Errorf("service: snapshot: version %d has no zero-copy layout", version)
+		return "", cfg, nil, fmt.Errorf("service: snapshot: unsupported version %d (want %d)", version, CorpusSnapshotVersion)
 	}
 	nameLen := r.uvarint("backend name length")
 	if r.err == nil && nameLen > 256 {
@@ -130,31 +115,17 @@ func parseSnapshotEnvelope(data []byte) (backend string, cfg index.Config, perSh
 	return backend, cfg, perShard, nil
 }
 
-// OpenSnapshotFile restores a snapshot file into this (empty) corpus through
-// the zero-copy path: the file is memory-mapped (heap-read on platforms
-// without mmap support) and version-2 segments open directly over the mapped
-// bytes — for the ccd backend, restore then costs a validation pass instead
-// of an index rebuild. Version-1 snapshots fall back to the streaming
-// ReadSnapshot. The mapping stays referenced for as long as any segment
-// reads from it.
+// OpenSnapshotFile restores a snapshot file into this (empty) corpus: the
+// file is memory-mapped (heap-read on platforms without mmap support) and
+// every segment opens directly over the mapped bytes — for the ccd backend,
+// restore then costs a validation pass instead of an index rebuild. The
+// mapping stays referenced for as long as any segment reads from it.
 func (c *Corpus) OpenSnapshotFile(path string) error {
 	data, ref, err := mapFile(path)
 	if err != nil {
 		return err
 	}
-	backend, cfg, perShard, perr := parseSnapshotEnvelope(data)
-	if perr != nil {
-		// Not a v2 envelope (or corrupt): let the streaming reader decide —
-		// it accepts version 1 and produces precise errors otherwise.
-		return c.ReadSnapshot(bytes.NewReader(data))
-	}
-	if backend != c.backend {
-		return fmt.Errorf("service: snapshot holds backend %q, corpus runs %q", backend, c.backend)
-	}
-	if c.Len() != 0 {
-		return fmt.Errorf("service: restore into non-empty corpus (%d entries)", c.Len())
-	}
-	return c.installSnapshotWith(cfg, perShard, mappedOpener(ref))
+	return c.restoreSnapshot(data, ref)
 }
 
 // remapSnapshot atomically swaps the corpus's published generations for
@@ -181,21 +152,9 @@ func (c *Corpus) remapSnapshot(path string) error {
 	if len(perShard) != len(c.shards) {
 		return fmt.Errorf("service: remap: snapshot has %d shards, corpus %d", len(perShard), len(c.shards))
 	}
-	open := mappedOpener(ref)
-	install := make([][]index.Backend, len(c.shards))
-	for i := range perShard {
-		segs := make([]index.Backend, 0, len(perShard[i]))
-		for j := range perShard[i] {
-			seg := c.newSegment()
-			if err := open(seg, perShard[i][j]); err != nil {
-				return fmt.Errorf("service: remap: shard %d segment %d: %w", i, j, err)
-			}
-			if seg.Len() > 0 {
-				segs = append(segs, seg)
-			}
-		}
-		slices.SortStableFunc(segs, func(a, b index.Backend) int { return b.Len() - a.Len() })
-		install[i] = segs
+	install, err := c.openSegments(perShard, ref)
+	if err != nil {
+		return fmt.Errorf("service: remap: %w", err)
 	}
 	// Verify every shard before swinging any pointer.
 	for i, sh := range c.shards {
@@ -222,7 +181,7 @@ func (c *Corpus) remapSnapshot(path string) error {
 }
 
 // MappedSegments counts published segments currently reading zero-copy out
-// of a mapped snapshot (diagnostics; surfaces in /metrics via store stats).
+// of snapshot bytes (diagnostics; surfaces in /metrics via store stats).
 func (c *Corpus) MappedSegments() int {
 	n := 0
 	for _, sh := range c.shards {

@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ccd"
+	"repro/internal/index"
 )
 
 // writeSnapshotFile persists c to a snapshot file inside a temp dir.
@@ -27,10 +29,10 @@ func writeSnapshotFile(t *testing.T, c *Corpus) string {
 	return path
 }
 
-// TestMappedSnapshotRestoreEquivalence: the zero-copy OpenSnapshotFile boot
-// and the streaming ReadSnapshot boot must be observably identical — same
-// size, same entry multiset, same MatchTopK results across the k sweep — and
-// the mapped corpus must actually read zero-copy (MappedSegments > 0).
+// TestMappedSnapshotRestoreEquivalence: a corpus restored through the
+// zero-copy OpenSnapshotFile boot must be observably identical to the corpus
+// Add built — same size, same entry multiset, same MatchTopK results across
+// the k sweep — and must actually read zero-copy (MappedSegments > 0).
 func TestMappedSnapshotRestoreEquivalence(t *testing.T) {
 	fps := randomFingerprints(41, 300)
 	builder := NewCorpus(ccd.DefaultConfig, 3)
@@ -45,18 +47,9 @@ func TestMappedSnapshotRestoreEquivalence(t *testing.T) {
 	if err := mapped.OpenSnapshotFile(path); err != nil {
 		t.Fatalf("mapped open: %v", err)
 	}
-	heap := NewCorpus(ccd.DefaultConfig, 3)
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := heap.ReadSnapshot(f); err != nil {
-		t.Fatalf("heap restore: %v", err)
-	}
-	f.Close()
 
-	if mapped.Len() != builder.Len() || heap.Len() != builder.Len() {
-		t.Fatalf("sizes drifted: mapped=%d heap=%d builder=%d", mapped.Len(), heap.Len(), builder.Len())
+	if mapped.Len() != builder.Len() {
+		t.Fatalf("sizes drifted: mapped=%d builder=%d", mapped.Len(), builder.Len())
 	}
 	if mapped.MappedSegments() == 0 {
 		t.Fatal("no mapped segments after OpenSnapshotFile")
@@ -68,10 +61,10 @@ func TestMappedSnapshotRestoreEquivalence(t *testing.T) {
 	queries = append(queries, fps[0], fps[150])
 	for qi, q := range queries {
 		for _, k := range []int{1, 10, 100, 0} {
-			want, _ := heap.MatchTopK(q, k)
+			want, _ := builder.MatchTopK(q, k)
 			got, _ := mapped.MatchTopK(q, k)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("query %d k=%d: mapped %v != heap %v", qi, k, got, want)
+				t.Fatalf("query %d k=%d: mapped %v != builder %v", qi, k, got, want)
 			}
 		}
 	}
@@ -190,28 +183,10 @@ func TestStoreMappedBootAndRemap(t *testing.T) {
 	if !reflect.DeepEqual(c2.entryMultiset(), c.entryMultiset()) {
 		t.Fatal("reboot changed the entry multiset")
 	}
-
-	// The opt-out path boots entirely on the heap.
-	c3 := NewCorpus(ccd.DefaultConfig, 2)
-	s3, err := OpenStoreWith(t.TempDir(), c3, StoreOptions{NoMapSegments: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if err := c3.Add("solo", testFP(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s3.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if c3.MappedSegments() != 0 || c3.Remaps() != 0 {
-		t.Fatalf("NoMapSegments store mapped anyway: %d segments, %d remaps",
-			c3.MappedSegments(), c3.Remaps())
-	}
 }
 
 // TestOpenSnapshotFileRejects covers the failure surface: missing file,
-// non-empty corpus, backend mismatch.
+// non-empty corpus, backend mismatch, and a version-1 envelope.
 func TestOpenSnapshotFileRejects(t *testing.T) {
 	c := NewCorpus(ccd.DefaultConfig, 2)
 	if err := c.OpenSnapshotFile(filepath.Join(t.TempDir(), "absent.snap")); err == nil {
@@ -228,6 +203,28 @@ func TestOpenSnapshotFileRejects(t *testing.T) {
 	}
 	if err := full.OpenSnapshotFile(path); err == nil {
 		t.Fatal("non-empty corpus: no error")
+	}
+	ssd, err := NewBackendCorpus(index.BackendSSDeep, index.Config{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ssd.OpenSnapshotFile(path); err == nil {
+		t.Fatal("ssdeep corpus opened a ccd snapshot")
+	}
+
+	// The retired pre-shard version 1 is refused as a version, not decoded.
+	v1, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1[len(corpusSnapshotMagic)] = 1
+	v1Path := filepath.Join(t.TempDir(), SnapshotFile)
+	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = NewCorpus(ccd.DefaultConfig, 2).OpenSnapshotFile(v1Path)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 envelope: err=%v, want unsupported version 1", err)
 	}
 }
 

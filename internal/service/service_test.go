@@ -267,12 +267,16 @@ func TestCorpusShardPartitioning(t *testing.T) {
 // monotonically growing corpora (no torn or shrinking states). The writer
 // does a fixed amount of work: every read scans every identical document,
 // so an unbounded writer makes the test's run time grow with host speed.
+// Halfway through, the reader waits until a write issued after its first
+// read has landed: on a loaded host the reads over a near-empty corpus can
+// otherwise all finish before the writer goroutine runs at all.
 func TestCorpusReadersNeverBlockOnWriters(t *testing.T) {
 	const adds, reads = 1000, 2000
 	c := NewCorpus(ccd.DefaultConfig, 0)
 	fp := ccd.Fingerprint("QxRtYuIoPAbCdEfGh.ZxCvBnMQwErTy")
 	done := make(chan struct{})
 	firstRead := make(chan struct{})
+	landed := make(chan struct{}) // closed once write 1 is published
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // writer: single adds (worst-case publish churn)
@@ -287,10 +291,16 @@ func TestCorpusReadersNeverBlockOnWriters(t *testing.T) {
 			default:
 				_ = c.Add(fmt.Sprintf("w-%d", i), fp)
 			}
+			if i == 1 {
+				close(landed)
+			}
 		}
 	}()
 	prev, first := 0, 0
 	for i := 0; i < reads; i++ {
+		if i == reads/2 {
+			<-landed
+		}
 		ms, _ := c.MatchTopK(fp, 5)
 		n := c.Len()
 		if i == 0 {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -10,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ccd"
@@ -382,34 +382,23 @@ func TestBatchDuplicateKeepsLastAcceptedCopy(t *testing.T) {
 	}
 }
 
-// writeLegacySnapshot encodes entries in the pre-shard (version 1) envelope:
-// a flat framed list of ccd corpus snapshots, all under one config.
-func writeLegacySnapshot(t *testing.T, cfg ccd.Config, segments [][]ccd.Entry) []byte {
+// forgeSnapshot encodes a snapshot envelope declaring cfg whose single shard
+// holds one ccd segment per entry list, each saved under its own config in
+// segCfgs — so tests can forge the multi-segment and mixed-config layouts
+// a correct writer never produces.
+func forgeSnapshot(t *testing.T, cfg ccd.Config, segCfgs []ccd.Config, segments [][]ccd.Entry) []byte {
 	t.Helper()
-	cfgs := make([]ccd.Config, len(segments))
-	for i := range cfgs {
-		cfgs[i] = cfg
+	b := binary.AppendUvarint([]byte(corpusSnapshotMagic), CorpusSnapshotVersion)
+	b = binary.AppendUvarint(b, uint64(len(index.BackendCCD)))
+	b = append(b, index.BackendCCD...)
+	b = binary.AppendUvarint(b, uint64(cfg.N))
+	for _, f := range []float64{cfg.Eta, cfg.Epsilon, 0} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 	}
-	return writeLegacySnapshotConfigs(t, cfgs, segments)
-}
-
-// writeLegacySnapshotConfigs is writeLegacySnapshot with one config per
-// segment, so tests can forge the mixed-config envelopes a correct writer
-// never produces.
-func writeLegacySnapshotConfigs(t *testing.T, cfgs []ccd.Config, segments [][]ccd.Entry) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		bw.Write(scratch[:n])
-	}
-	bw.WriteString(corpusSnapshotMagic)
-	writeUvarint(1) // legacy version
-	writeUvarint(uint64(len(segments)))
+	b = binary.AppendUvarint(b, 1) // one shard
+	b = binary.AppendUvarint(b, uint64(len(segments)))
 	for i, seg := range segments {
-		c := ccd.NewCorpus(cfgs[i])
+		c := ccd.NewCorpus(segCfgs[i])
 		for _, e := range seg {
 			c.Add(e.ID, e.FP)
 		}
@@ -417,20 +406,18 @@ func writeLegacySnapshotConfigs(t *testing.T, cfgs []ccd.Config, segments [][]cc
 		if err := c.Save(&segBuf); err != nil {
 			t.Fatal(err)
 		}
-		writeUvarint(uint64(segBuf.Len()))
-		bw.Write(segBuf.Bytes())
+		b = binary.AppendUvarint(b, uint64(segBuf.Len()))
+		b = append(b, segBuf.Bytes()...)
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return b
 }
 
-// TestLegacySnapshotRestores: pre-shard (version 1) snapshots still restore
-// into the sharded corpus — byte-identically when the corpus has one shard
-// (segments install as-is), re-partitioned by id hash otherwise — with the
-// snapshot's matcher configuration adopted in both cases.
-func TestLegacySnapshotRestores(t *testing.T) {
+// TestForgedSnapshotEnvelopes: a multi-segment snapshot restores into the
+// sharded corpus — byte-identically when the corpus has one shard (segments
+// install as-is), re-partitioned by id hash otherwise — with the snapshot's
+// matcher configuration adopted in both cases; a snapshot whose segments
+// disagree on the config, or that holds another backend, is refused.
+func TestForgedSnapshotEnvelopes(t *testing.T) {
 	cfg := ccd.ConservativeConfig
 	segments := [][]ccd.Entry{nil, nil, nil}
 	want := map[string]int{}
@@ -439,7 +426,7 @@ func TestLegacySnapshotRestores(t *testing.T) {
 		segments[i%3] = append(segments[i%3], e)
 		want[e.ID+"\x00"+string(e.FP)]++
 	}
-	raw := writeLegacySnapshot(t, cfg, segments)
+	raw := forgeSnapshot(t, cfg, []ccd.Config{cfg, cfg, cfg}, segments)
 
 	for _, shards := range []int{1, 4} {
 		c := NewCorpus(ccd.DefaultConfig, shards)
@@ -456,9 +443,9 @@ func TestLegacySnapshotRestores(t *testing.T) {
 			t.Fatalf("shards=%d: restored entry multiset differs", shards)
 		}
 		if shards == 1 {
-			// Byte-identical install: the three legacy segments survive as-is.
+			// Byte-identical install: the three segments survive as-is.
 			if got := c.Segments(); got != 3 {
-				t.Fatalf("1-shard legacy restore rebuilt segments: %d, want 3", got)
+				t.Fatalf("1-shard restore rebuilt segments: %d, want 3", got)
 			}
 		}
 	}
@@ -466,20 +453,21 @@ func TestLegacySnapshotRestores(t *testing.T) {
 	// Mixed-config segments must be refused: every segment is matched with
 	// one prepared query derived under a single config, so a snapshot whose
 	// segments disagree would silently score wrong.
-	mixed := writeLegacySnapshotConfigs(t,
+	mixed := forgeSnapshot(t, ccd.Config{N: 3, Eta: 0.5, Epsilon: 70},
 		[]ccd.Config{{N: 3, Eta: 0.5, Epsilon: 70}, {N: 5, Eta: 0.5, Epsilon: 70}},
 		segments[:2])
-	if err := NewCorpus(ccd.DefaultConfig, 1).ReadSnapshot(bytes.NewReader(mixed)); err == nil {
-		t.Fatal("mixed-config legacy snapshot accepted")
+	err := NewCorpus(ccd.DefaultConfig, 1).ReadSnapshot(bytes.NewReader(mixed))
+	if err == nil || !strings.Contains(err.Error(), "differs from snapshot config") {
+		t.Fatalf("mixed-config snapshot: err=%v, want a config mismatch", err)
 	}
 
-	// A non-ccd corpus must refuse a legacy (implicitly ccd) snapshot.
+	// A non-ccd corpus must refuse a ccd snapshot.
 	ssd, err := NewBackendCorpus(index.BackendSSDeep, index.Config{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ssd.ReadSnapshot(bytes.NewReader(raw)); err == nil {
-		t.Fatal("ssdeep corpus accepted a legacy ccd snapshot")
+		t.Fatal("ssdeep corpus accepted a ccd snapshot")
 	}
 }
 

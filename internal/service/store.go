@@ -39,7 +39,6 @@ type Store struct {
 	dir    string
 	corpus *Corpus
 	wal    *wal
-	opts   StoreOptions
 
 	// remapFailures counts post-snapshot remap attempts that failed (the
 	// heap generations keep serving; mapping is an optimization, not
@@ -144,25 +143,20 @@ func (s *Store) backpressureDelay(ctx context.Context) {
 	s.bpDelayUs.Add(delay.Microseconds())
 }
 
-// StoreOptions tunes how a store boots and maintains its corpus.
-type StoreOptions struct {
-	// NoMapSegments disables the zero-copy snapshot path: boot decodes the
-	// snapshot to the heap (ReadSnapshot) and no post-snapshot remap runs.
-	// The default (false) memory-maps the snapshot file and opens segments
-	// in place, making restore a validation pass.
-	NoMapSegments bool
-}
+// StoreOptions tunes how a store boots and maintains its corpus. It has no
+// fields today; OpenStoreWith keeps the signature stable for callers.
+type StoreOptions struct{}
 
 // OpenStore attaches durable storage in dir to c (which must be empty: the
 // store's contents become the corpus's initial state). The directory is
-// created if needed. Snapshot segments are memory-mapped by default; use
-// OpenStoreWith to opt out.
+// created if needed. The snapshot file is memory-mapped and its segments
+// open in place (OpenSnapshotFile), making restore a validation pass.
 func OpenStore(dir string, c *Corpus) (*Store, error) {
 	return OpenStoreWith(dir, c, StoreOptions{})
 }
 
 // OpenStoreWith is OpenStore with explicit options.
-func OpenStoreWith(dir string, c *Corpus, opts StoreOptions) (*Store, error) {
+func OpenStoreWith(dir string, c *Corpus, _ StoreOptions) (*Store, error) {
 	if c.store != nil {
 		return nil, fmt.Errorf("service: corpus already has a store attached")
 	}
@@ -175,24 +169,13 @@ func OpenStoreWith(dir string, c *Corpus, opts StoreOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: create store dir: %w", err)
 	}
-	s := &Store{dir: dir, corpus: c, opts: opts}
+	s := &Store{dir: dir, corpus: c}
 	bootStart := time.Now()
 
 	snapPath := filepath.Join(dir, SnapshotFile)
 	if _, err := os.Stat(snapPath); err == nil {
-		var restoreErr error
-		if opts.NoMapSegments {
-			f, err := os.Open(snapPath)
-			if err != nil {
-				return nil, err
-			}
-			restoreErr = c.ReadSnapshot(f)
-			f.Close()
-		} else {
-			restoreErr = c.OpenSnapshotFile(snapPath)
-		}
-		if restoreErr != nil {
-			return nil, fmt.Errorf("service: restore %s: %w", snapPath, restoreErr)
+		if err := c.OpenSnapshotFile(snapPath); err != nil {
+			return nil, fmt.Errorf("service: restore %s: %w", snapPath, err)
 		}
 		s.restored = c.Len()
 	} else if !os.IsNotExist(err) {
@@ -351,10 +334,8 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	// over the file just written — compaction back onto the mapping. Ingest
 	// is still quiescent (we hold s.mu), so the corpus equals the snapshot.
 	// On failure the heap generations keep serving unchanged.
-	if !s.opts.NoMapSegments {
-		if err := s.corpus.remapSnapshot(final); err != nil {
-			s.remapFailures.Add(1)
-		}
+	if err := s.corpus.remapSnapshot(final); err != nil {
+		s.remapFailures.Add(1)
 	}
 	s.pendingAdds.Store(0)
 	s.snapshots.Add(1)
